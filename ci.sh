@@ -103,6 +103,12 @@ cargo bench -q -p real-bench --bench ablations -- search_throughput_gate
 # two-pairing acceptance sweep is the `spec_decode` ablation.
 cargo bench -q -p real-bench --bench ablations -- spec_decode_gate
 
+# JSON scaling gate: parsing a generated multi-MB trace at 2n bytes must
+# take under 3x the time at n (vendor/serde_json/tests/scaling.rs), so a
+# superlinear parser cannot come back. Release, because debug timings are
+# too noisy for a ratio.
+cargo test --release -q -p serde_json
+
 # Profile-regression gate: re-profile the reference PPO workload and diff
 # phase shares, makespan, and critical-path composition against the
 # committed baseline (see docs/PROFILING.md). The heuristic plan and the

@@ -231,6 +231,19 @@ SERVE FLAGS:
   --json           print the ServeReport as JSON
 ";
 
+/// A count flag that must be positive (`--iters`, `--batch`, `--chains`):
+/// zero is rejected here, naming the flag, rather than deep in the run.
+fn count_flag<T>(args: &Args, flag: &str, default: T) -> Result<T, CliError>
+where
+    T: std::str::FromStr + Default + PartialEq,
+{
+    let n = args.num_or(flag, default)?;
+    if n == T::default() {
+        return Err(CliError::Invalid(format!("--{flag} must be positive")));
+    }
+    Ok(n)
+}
+
 /// Builds an [`Experiment`] from common workload flags.
 pub fn experiment_from(args: &Args) -> Result<Experiment, CliError> {
     let nodes: u32 = args.num_or("nodes", 1)?;
@@ -242,7 +255,7 @@ pub fn experiment_from(args: &Args) -> Result<Experiment, CliError> {
     let cluster = ClusterSpec::h100(nodes);
     let actor = model_flag(args, "actor")?;
     let critic = model_flag(args, "critic")?.critic();
-    let batch: u64 = args.num_or("batch", 128)?;
+    let batch: u64 = count_flag(args, "batch", 128)?;
     let ctx_scale: u64 = args.num_or("ctx-scale", 1)?;
     if ctx_scale == 0 || !batch.is_multiple_of(ctx_scale) {
         return Err(CliError::Invalid(format!(
@@ -438,16 +451,10 @@ pub fn mcmc_from(args: &Args) -> Result<(McmcConfig, usize, usize), CliError> {
         memo: !args.flag("no-memo"),
         ..McmcConfig::default()
     };
-    let chains: usize = args.num_or("chains", 1usize)?;
-    if chains == 0 {
-        return Err(CliError::Invalid("--chains must be positive".into()));
-    }
+    let chains: usize = count_flag(args, "chains", 1)?;
     // The plan is bit-identical for any thread count; --threads only caps
     // the worker pool (e.g. on a shared login node).
-    let threads: usize = args.num_or("threads", chains)?;
-    if threads == 0 {
-        return Err(CliError::Invalid("--threads must be positive".into()));
-    }
+    let threads: usize = count_flag(args, "threads", chains)?;
     Ok((cfg, chains, threads))
 }
 
@@ -587,6 +594,7 @@ fn cmd_plan_speculative(
 /// `real run`
 pub fn cmd_run(args: &Args) -> Result<String, CliError> {
     let mut exp = experiment_from(args)?;
+    let iters: usize = count_flag(args, "iters", 2)?;
     if args.flag("replan") {
         let policy = ReplanPolicy::new()
             .with_search_steps(args.num_or("replan-steps", 2_000u64)?)
@@ -618,7 +626,6 @@ pub fn cmd_run(args: &Args) -> Result<String, CliError> {
         search = Some(planned.search);
         plan
     };
-    let iters: usize = args.num_or("iters", 2)?;
     let report = exp.run(&plan, iters)?;
     if let Some(path) = args.str_opt("trace") {
         let stream = exp.event_stream(&report);
@@ -701,6 +708,7 @@ pub fn cmd_replan(args: &Args) -> Result<String, CliError> {
 /// `real baselines`
 pub fn cmd_baselines(args: &Args) -> Result<String, CliError> {
     let exp = experiment_from(args)?;
+    let iters: usize = count_flag(args, "iters", 2)?;
     if args.str_or("algo", "ppo") != "ppo" {
         return Err(CliError::Invalid(
             "baselines are defined for --algo ppo".into(),
@@ -708,7 +716,6 @@ pub fn cmd_baselines(args: &Args) -> Result<String, CliError> {
     }
     let cluster = exp.cluster().clone();
     let graph = exp.graph().clone();
-    let iters: usize = args.num_or("iters", 2)?;
     let tokens = graph
         .calls()
         .iter()
@@ -767,6 +774,7 @@ pub fn cmd_profile(args: &Args) -> Result<String, CliError> {
         real_core::real_obs::ProfileReport::from_stream(&stream, top_k)
     } else {
         let exp = experiment_from(args)?;
+        let iters: usize = count_flag(args, "iters", 2)?;
         // Profiling needs the kernel spans regardless of --trace.
         let mut engine = exp.engine_config().clone();
         if engine.trace_capacity == 0 {
@@ -789,7 +797,6 @@ pub fn cmd_profile(args: &Args) -> Result<String, CliError> {
             let (cfg, chains, threads) = mcmc_from(args)?;
             plan_searched(&exp, &cfg, chains, threads)?.plan
         };
-        let iters: usize = args.num_or("iters", 2)?;
         let run = exp.run(&plan, iters)?;
         overlap = overlap_line(&exp.event_stream(&run));
         let (est, _) = exp.prepare();
@@ -986,10 +993,7 @@ fn render_stats(snap: &MetricsSnapshot) -> String {
 
 /// `real advise`: sweep candidate cluster sizes and recommend one (§8.4).
 pub fn cmd_advise(args: &Args) -> Result<String, CliError> {
-    let max_nodes: u32 = args.num_or("max-nodes", 8)?;
-    if max_nodes == 0 {
-        return Err(CliError::Invalid("--max-nodes must be positive".into()));
-    }
+    let max_nodes: u32 = count_flag(args, "max-nodes", 8)?;
     let mut candidates = Vec::new();
     let mut n = 1;
     while n <= max_nodes {
@@ -997,7 +1001,7 @@ pub fn cmd_advise(args: &Args) -> Result<String, CliError> {
         n *= 2;
     }
     let (cfg, _, _) = mcmc_from(args)?;
-    let iters: usize = args.num_or("iters", 2)?;
+    let iters: usize = count_flag(args, "iters", 2)?;
     // Rebuild the experiment per size by substituting --nodes.
     let rec = real_core::advisor::recommend(&candidates, &cfg, iters, |nodes| {
         let mut patched = args.clone();

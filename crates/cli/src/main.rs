@@ -11,6 +11,7 @@ mod args;
 mod commands;
 
 use args::Args;
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -24,8 +25,16 @@ fn main() -> ExitCode {
     };
     match commands::dispatch(&args) {
         Ok(out) => {
-            println!("{out}");
-            ExitCode::SUCCESS
+            let mut stdout = io::stdout().lock();
+            match writeln!(stdout, "{out}").and_then(|()| stdout.flush()) {
+                // A reader that closes early (`real ... | head -1`) has
+                // taken all it wanted: not an error.
+                Err(e) if e.kind() != io::ErrorKind::BrokenPipe => {
+                    eprintln!("error: writing output: {e}");
+                    ExitCode::FAILURE
+                }
+                _ => ExitCode::SUCCESS,
+            }
         }
         Err(e) => {
             eprintln!("error: {e}");

@@ -82,7 +82,7 @@ pub struct TenantSpec {
     /// see docs/DATAFLOWS.md) used instead of `algo`/`actor`/`critic`/
     /// `batch`. Mutually exclusive with `actor`.
     pub graph: Option<String>,
-    /// RLHF iterations to run (default `2`).
+    /// RLHF iterations to run (default `2`; zero is rejected).
     pub iterations: Option<usize>,
     /// Deterministic fault schedule confined to this tenant's fault domain.
     pub faults: Option<FaultPlan>,
@@ -114,15 +114,21 @@ impl TenantSpec {
     /// # Errors
     ///
     /// Returns [`SpecError`] when a model size or algorithm is unknown, a
-    /// batch size is zero, both (or neither of) `actor` and `graph` are
-    /// set, a referenced graph is missing from `graphs` or fails DSL
-    /// validation, or a fault plan fails validation.
+    /// batch size or iteration count is zero, both (or neither of) `actor`
+    /// and `graph` are set, a referenced graph is missing from `graphs` or
+    /// fails DSL validation, or a fault plan fails validation.
     pub fn build_experiment(
         &self,
         cluster: &ClusterSpec,
         seed: u64,
         graphs: &GraphSet,
     ) -> Result<Experiment, SpecError> {
+        if self.iterations == Some(0) {
+            return Err(SpecError(format!(
+                "tenant `{}`: iterations must be > 0",
+                self.name
+            )));
+        }
         let mut exp = match (&self.graph, &self.actor) {
             (Some(path), None) => {
                 let spec = graphs.get(path).ok_or_else(|| {
@@ -333,6 +339,16 @@ mod tests {
             tenants: vec![tenant("a"), dup],
         };
         assert!(dup_ids.build().is_err());
+
+        let mut idle = tenant("a");
+        idle.iterations = Some(0);
+        let zero_iters = SchedSpec {
+            nodes: 1,
+            seed: None,
+            tenants: vec![idle],
+        };
+        let err = zero_iters.build().unwrap_err().to_string();
+        assert!(err.contains("iterations must be > 0"), "{err}");
 
         let mut bad_model = tenant("a");
         bad_model.actor = Some("9000b".into());
